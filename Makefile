@@ -5,7 +5,7 @@
 # facade's integration suites. Always go through `make test` (or pass
 # --workspace yourself) so local coverage matches CI.
 
-.PHONY: build test lint fmt bench-smoke query-smoke serve-smoke obs-smoke chaos-smoke chaos-matrix dist-matrix index-lifecycle plan-smoke all
+.PHONY: build test lint fmt perfbench-test bench-smoke query-smoke serve-smoke obs-smoke chaos-smoke chaos-matrix dist-matrix index-lifecycle plan-smoke all
 
 all: lint build test
 
@@ -21,6 +21,17 @@ lint:
 
 fmt:
 	cargo fmt
+
+# The repository benchmark (perfbench/, a package of its own with an
+# empty [workspace] and a committed Cargo.lock, built from crates/* by
+# path) and its own tests. Building it offline and locked fails on any
+# change to a library API the benchmark imports. Run a workload with
+# `cargo run --release --offline --locked --manifest-path
+# perfbench/Cargo.toml -- --workload allpairs-dense --seed 1` (see
+# perfbench/README.md).
+perfbench-test:
+	cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+	cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 
 # The CI bench-smoke step: comm_volume on a tiny input, JSON reports
 # under results/.

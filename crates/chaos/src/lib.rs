@@ -445,6 +445,16 @@ impl Storage for ChaosStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Tests that flip the process-global [`set_enabled`] switch run one
+    /// at a time behind this gate; otherwise a parallel test could turn
+    /// injection off (or on) in the middle of another's assertions.
+    static SWITCH_GATE: Mutex<()> = Mutex::new(());
+
+    fn switch_gate() -> MutexGuard<'static, ()> {
+        SWITCH_GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn unique_path(tag: &str) -> std::path::PathBuf {
         use std::sync::atomic::AtomicU64;
@@ -486,6 +496,7 @@ mod tests {
 
     #[test]
     fn disabled_injection_is_a_pass_through() {
+        let _gate = switch_gate();
         set_enabled(false);
         let path = unique_path("pass");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(1, 1000));
@@ -498,6 +509,7 @@ mod tests {
 
     #[test]
     fn torn_append_leaves_a_prefix_and_reports_failure() {
+        let _gate = switch_gate();
         set_enabled(true);
         let path = unique_path("torn");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(9, 0).script(1, FaultKind::TornWrite));
@@ -513,6 +525,7 @@ mod tests {
 
     #[test]
     fn failed_replace_keeps_the_original_intact() {
+        let _gate = switch_gate();
         set_enabled(true);
         let path = unique_path("replace");
         std::fs::write(&path, b"live generation").unwrap();
@@ -532,6 +545,7 @@ mod tests {
 
     #[test]
     fn fsync_loss_reports_success_but_loses_the_tail() {
+        let _gate = switch_gate();
         set_enabled(true);
         let path = unique_path("fsync");
         let chaos = ChaosStorage::over_fs(FaultPlan::seeded(5, 0).script(1, FaultKind::FsyncLoss));

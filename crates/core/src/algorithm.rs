@@ -3,9 +3,11 @@
 //! Two execution paths cover the paper's algorithm (Listing 1):
 //!
 //! * [`similarity_at_scale`] — the shared-memory driver: batches are
-//!   filtered, bit-packed and multiplied with the Rayon-parallel
-//!   popcount-AND kernel. This is what a single rank (one MPI process
-//!   with on-node threading) executes, and what the examples use.
+//!   filtered and bit-packed in one pass and multiplied with the
+//!   Rayon-parallel popcount-AND kernel (the transpose-free panel kernel
+//!   on dense batches, Gustavson on sparse ones). This is what a single
+//!   rank (one MPI process with on-node threading) executes, and what the
+//!   examples use.
 //! * [`similarity_at_scale_distributed`] — the simulated-distributed
 //!   driver: `p` ranks run the full pipeline over the simulated runtime —
 //!   the bitmap zero-row filter (an OR-allreduce of packed row bitmaps),
@@ -19,17 +21,16 @@ use std::time::Instant;
 use gas_dstsim::cost::{AggregateCost, CostModel, CostReport};
 use gas_dstsim::machine::Machine;
 use gas_dstsim::runtime::Runtime;
-use gas_sparse::bitmat::BitMatrix;
+use gas_sparse::bitmat::{pack_column_bitmap, BitMatrix, RowRank};
 use gas_sparse::dense::DenseMatrix;
 use gas_sparse::dist::ata::DistAta;
-use gas_sparse::dist::filter::dist_row_filter;
-use gas_sparse::semiring::{PlusTimes, PopcountAnd};
-use gas_sparse::spgemm::ata_dense_parallel;
+use gas_sparse::dist::filter::{allreduce_row_bitmap, RowFilter};
+use gas_sparse::semiring::PlusTimes;
+use gas_sparse::spgemm::{ata_dense_parallel, ata_popcount};
 
 use crate::batch::BatchPlan;
 use crate::config::SimilarityConfig;
 use crate::error::{CoreError, CoreResult};
-use crate::filter::apply_filter;
 use crate::indicator::SampleCollection;
 use crate::jaccard::SimilarityResult;
 use crate::mask::{prepare_batch, PreparedBatch};
@@ -105,9 +106,7 @@ pub fn similarity_at_scale_with_stats(
             cardinalities[i] += c;
         }
         let partial = match &prepared {
-            PreparedBatch::Masked(bm) => {
-                ata_dense_parallel::<PopcountAnd>(bm.as_csc(), &bm.to_csr())?
-            }
+            PreparedBatch::Masked(bm) => ata_popcount(bm.as_csc())?,
             PreparedBatch::Unmasked { csc, csr } => ata_dense_parallel::<PlusTimes<u64>>(csc, csr)?,
         };
         b.add_assign(&partial)?;
@@ -216,26 +215,26 @@ pub fn similarity_at_scale_distributed(
             // Every rank accumulates the rows it observes in its column
             // block into a packed bitmap; the OR-allreduce makes the
             // union filter available everywhere (the paper's
-            // accumulate-write formulation). With the filter disabled the
-            // batch is packed as-is.
-            let (nrows, left_f, right_f, key) = if use_filter {
-                let local_rows: Vec<usize> = right_columns.iter().flatten().copied().collect();
-                ctx.add_mem_traffic((local_rows.len() * std::mem::size_of::<u64>()) as u64);
+            // accumulate-write formulation), and both operand blocks are
+            // packed straight over it. With the filter disabled the batch
+            // is packed as-is.
+            let bitmap = if use_filter {
+                let observed: usize = right_columns.iter().map(Vec::len).sum();
+                ctx.add_mem_traffic((observed * std::mem::size_of::<u64>()) as u64);
                 // Distributed zero-row filter (collective over all ranks).
-                let filter = dist_row_filter(world, batch_rows, &local_rows)?;
-                let right_f = apply_filter(&right_columns, &filter);
-                let left_f = if same_blocks {
-                    right_f.clone()
-                } else {
-                    apply_filter(&left_columns, &filter)
-                };
-                (filter.num_nonzero_rows(), left_f, right_f, Some(filter.fingerprint()))
+                let local = pack_column_bitmap(batch_rows, &right_columns);
+                Some(allreduce_row_bitmap(world, &local)?)
             } else {
-                (batch_rows, left_columns, right_columns, None)
+                None
             };
-            let right = BitMatrix::from_columns(nrows, &right_f)?;
-            let left =
-                if same_blocks { right.clone() } else { BitMatrix::from_columns(nrows, &left_f)? };
+            let rank = bitmap.as_deref().map(RowRank::new);
+            let pack = |columns: &[Vec<usize>]| match &rank {
+                Some(rank) => BitMatrix::pack_ranked(rank, columns),
+                None => BitMatrix::from_columns(batch_rows, columns),
+            };
+            let right = pack(&right_columns)?;
+            let left = if same_blocks { right.clone() } else { pack(&left_columns)? };
+            let key = bitmap.as_ref().map(|b| RowFilter::bitmap_fingerprint(batch_rows, b));
             ata.accumulate_batch_keyed(&left, &right, key, &mut acc, &mut card)?;
             ctx.record_superstep();
             batch_seconds.push(batch_start.elapsed().as_secs_f64());

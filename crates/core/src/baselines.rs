@@ -19,8 +19,7 @@ use gas_dstsim::cost::{AggregateCost, CostReport};
 use gas_dstsim::machine::Machine;
 use gas_dstsim::runtime::Runtime;
 use gas_sparse::dense::DenseMatrix;
-use gas_sparse::semiring::PopcountAnd;
-use gas_sparse::spgemm::ata_dense_parallel;
+use gas_sparse::spgemm::{ata_dense_parallel, ata_popcount};
 use rayon::prelude::*;
 
 use crate::batch::BatchPlan;
@@ -115,9 +114,7 @@ pub fn allreduce_jaccard_distributed(
                 card[i] += c;
             }
             let partial = match &prepared {
-                PreparedBatch::Masked(bm) => {
-                    ata_dense_parallel::<PopcountAnd>(bm.as_csc(), &bm.to_csr())?
-                }
+                PreparedBatch::Masked(bm) => ata_popcount(bm.as_csc())?,
                 PreparedBatch::Unmasked { csc, csr } => {
                     ata_dense_parallel::<gas_sparse::semiring::PlusTimes<u64>>(csc, csr)?
                 }

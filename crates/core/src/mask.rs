@@ -5,8 +5,17 @@
 //! `⌈rows/b⌉` word rows and one column per sample, and the matrix product
 //! runs over the popcount-AND semiring. We use `b = 64` (the paper
 //! discusses `b = 32` or `64`).
+//!
+//! With filter and mask both on, [`prepare_batch`] filters and packs in
+//! one pass over the sorted columns ([`BitMatrix::pack_filtered`]): the
+//! column rows are OR-ed into a packed row bitmap, which is the filter,
+//! and every column is packed over the bitmap's set bits, each row
+//! renumbered by its rank, emitting words directly. Nothing is sorted and
+//! no filtered copy of the columns is made. The packed batch then goes to
+//! [`gas_sparse::spgemm::ata_popcount`], which multiplies it without a
+//! transpose when it is dense enough.
 
-use gas_sparse::bitmat::BitMatrix;
+use gas_sparse::bitmat::{BitMatrix, WORD_BITS};
 use gas_sparse::coo::CooMatrix;
 use gas_sparse::csc::CscMatrix;
 use gas_sparse::csr::CsrMatrix;
@@ -57,6 +66,14 @@ impl PreparedBatch {
     }
 }
 
+/// The fused filter-and-pack allocates a row bitmap of `⌈batch_rows / 64⌉`
+/// words (plus half as much rank index). Past this many bitmap words per
+/// stored entry — a hypersparse batch of a hashed universe, say, whose
+/// height can reach `2⁶⁴` — [`prepare_batch`] filters by sorting the
+/// observed rows instead, which needs no memory proportional to the
+/// batch height.
+const MAX_BITMAP_WORDS_PER_ENTRY: usize = 16;
+
 /// Filter and pack one batch given its per-sample column lists
 /// (batch-local row indices). Returns the prepared batch together with the
 /// filter that was applied (for diagnostics).
@@ -66,6 +83,12 @@ pub fn prepare_batch(
     use_filter: bool,
     use_bitmask: bool,
 ) -> CoreResult<(PreparedBatch, RowFilter)> {
+    let entries: usize = columns.iter().map(Vec::len).sum();
+    let bitmap_words = batch_rows.div_ceil(WORD_BITS);
+    if use_filter && use_bitmask && bitmap_words <= MAX_BITMAP_WORDS_PER_ENTRY * entries.max(1) {
+        let (bm, bitmap) = BitMatrix::pack_filtered(batch_rows, columns)?;
+        return Ok((PreparedBatch::Masked(bm), RowFilter::from_bitmap(batch_rows, &bitmap)));
+    }
     let filter = if use_filter {
         batch_row_filter(batch_rows, columns)
     } else {
@@ -143,6 +166,17 @@ mod tests {
         let (unfiltered, _) = prepare_batch(100_000, &columns(), false, false).unwrap();
         assert!(masked.kernel_rows() < unfiltered.kernel_rows());
         assert!(masked.stored_entries() <= unfiltered.stored_entries());
+    }
+
+    #[test]
+    fn hypersparse_batches_filter_without_a_batch_high_bitmap() {
+        // A batch as tall as a hashed universe: no bitmap could be
+        // allocated, and the sorted-filter path gives the same packing.
+        let columns = vec![vec![7, 1 << 40, usize::MAX - 1], vec![1 << 40]];
+        let (batch, filter) = prepare_batch(usize::MAX, &columns, true, true).unwrap();
+        assert_eq!(filter.nonzero_rows(), &[7, 1 << 40, usize::MAX - 1]);
+        let expected = BitMatrix::from_columns(3, &[vec![0, 1, 2], vec![1]]).unwrap();
+        assert_eq!(batch, PreparedBatch::Masked(expected));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! factor of `b`, and lets the matrix product use a hardware `popcount`
 //! over `AND`-ed words (Eq. 7). A [`BitMatrix`] is a CSC matrix of `u64`
 //! words: `word_rows = ⌈rows / b⌉` rows, one column per data sample.
+//!
+//! Filtering and packing are one pass: [`BitMatrix::pack_filtered`] ORs
+//! the batch columns into a packed row bitmap (the zero-row filter), and
+//! [`BitMatrix::pack_over`] packs every column over the set bits of such
+//! a bitmap, renumbering each kept row by its rank among the set bits.
+//! No filtered copy of the columns is ever materialized.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -35,22 +41,14 @@ pub fn pack_row_bitmap(nrows: usize, rows: &[usize]) -> Vec<u64> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let chunk_size = rows.len().div_ceil(threads).max(1 << 13);
     if chunk_size >= rows.len() {
-        for &r in rows {
-            if r < nrows {
-                words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
-            }
-        }
+        set_rows(&mut words, nrows, rows);
         return words;
     }
     let partials: Vec<Vec<u64>> = rows
         .par_chunks(chunk_size)
         .map(|chunk| {
             let mut partial = vec![0u64; nwords];
-            for &r in chunk {
-                if r < nrows {
-                    partial[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
-                }
-            }
+            set_rows(&mut partial, nrows, chunk);
             partial
         })
         .collect();
@@ -81,6 +79,97 @@ pub fn bitmap_count_ones(words: &[u64]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
 }
 
+/// Pack the rows of every column into one dense `⌈nrows / 64⌉`-word
+/// bitmap: bit `r` is set iff some column lists `r`. Rows `≥ nrows` are
+/// ignored, as in [`pack_row_bitmap`]. This is the zero-row filter of a
+/// batch, built straight from its columns without flattening them.
+pub fn pack_column_bitmap(nrows: usize, columns: &[Vec<usize>]) -> Vec<u64> {
+    let mut words = vec![0u64; nrows.div_ceil(WORD_BITS)];
+    set_rows(&mut words, nrows, columns.iter().flatten());
+    words
+}
+
+/// Set bit `r` of `words` for every row `r < nrows` in `rows`.
+fn set_rows<'a>(words: &mut [u64], nrows: usize, rows: impl IntoIterator<Item = &'a usize>) {
+    for &r in rows {
+        if r < nrows {
+            words[r / WORD_BITS] |= 1u64 << (r % WORD_BITS);
+        }
+    }
+}
+
+/// Words per rank superblock of [`RowRank`]: `2³²` bits, so a rank
+/// within a superblock always fits a `u32`.
+const SUPERBLOCK_WORDS: usize = 1 << 26;
+
+/// Rank support for a packed row bitmap: row `r` of a set bit maps to
+/// its rank among the set bits, the compacted row index of the zero-row
+/// filter (Eq. 6). For every word it stores the number of set bits
+/// before it, as a `u32` offset from its superblock's base. That is half
+/// a word per bitmap word, and a lookup is one load plus one popcount —
+/// branchy sampled ranks cost several times more per row on dense
+/// batches, where consecutive rows of a column sit a word or two apart.
+/// Build it once per bitmap and pack any number of column sets over it
+/// with [`BitMatrix::pack_ranked`].
+pub struct RowRank<'a> {
+    words: &'a [u64],
+    ranks: Vec<u32>,
+    bases: Vec<usize>,
+    ones: usize,
+}
+
+impl<'a> RowRank<'a> {
+    /// Index the set bits of `words`.
+    pub fn new(words: &'a [u64]) -> Self {
+        let mut ranks = Vec::with_capacity(words.len());
+        let mut bases = Vec::with_capacity(words.len().div_ceil(SUPERBLOCK_WORDS));
+        let mut ones = 0usize;
+        for superblock in words.chunks(SUPERBLOCK_WORDS) {
+            bases.push(ones);
+            let mut within = 0u64;
+            for &w in superblock {
+                ranks.push(within as u32);
+                // Most words of a hypersparse batch are zero, and a
+                // software popcount costs far more than the branch.
+                if w != 0 {
+                    within += u64::from(w.count_ones());
+                }
+            }
+            ones += within as usize;
+        }
+        RowRank { words, ranks, bases, ones }
+    }
+
+    /// Number of set bits: the row count of a batch packed over them.
+    pub fn ones(&self) -> usize {
+        self.ones
+    }
+
+    /// Compacted index of row `r` (its rank among the set bits), or
+    /// `None` if bit `r` is clear or lies past the bitmap.
+    #[inline]
+    pub fn rank(&self, r: usize) -> Option<usize> {
+        let w = r / WORD_BITS;
+        let word = *self.words.get(w)?;
+        let bit = 1u64 << (r % WORD_BITS);
+        if word & bit == 0 {
+            return None;
+        }
+        let before = self.bases[w / SUPERBLOCK_WORDS] + self.ranks[w] as usize;
+        Some(before + (word & (bit - 1)).count_ones() as usize)
+    }
+}
+
+/// The error for a column whose rows are not strictly increasing.
+#[cold]
+fn not_increasing(col: usize, prev: usize, row: usize) -> SparseError {
+    SparseError::ShapeMismatch {
+        context: format!(
+            "column {col} row indices must be strictly increasing ({prev} then {row})"
+        ),
+    }
+}
+
 /// A boolean matrix with rows packed into 64-bit words, stored per column.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BitMatrix {
@@ -98,43 +187,85 @@ impl BitMatrix {
     /// `columns[j]` lists the rows set in column `j`, in strictly
     /// increasing order.
     pub fn from_columns(nrows: usize, columns: &[Vec<usize>]) -> SparseResult<Self> {
+        Self::pack_mapped(nrows, columns, Some)
+    }
+
+    /// Zero-row filter and pack a batch in one pass: OR the column rows
+    /// into a packed row bitmap ([`pack_column_bitmap`]), then pack every
+    /// column over it ([`Self::pack_over`]). Returns the packed batch and
+    /// the bitmap (the filter: bit `r` is set iff row `r < batch_rows` is
+    /// nonzero in some column). Equal to building the filter, applying it
+    /// to the columns and calling [`Self::from_columns`] on the result,
+    /// errors included.
+    pub fn pack_filtered(
+        batch_rows: usize,
+        columns: &[Vec<usize>],
+    ) -> SparseResult<(Self, Vec<u64>)> {
+        let bitmap = pack_column_bitmap(batch_rows, columns);
+        let packed = Self::pack_over(&bitmap, columns)?;
+        Ok((packed, bitmap))
+    }
+
+    /// Pack every column over the set bits of a row `bitmap`: row `r` of a
+    /// column is kept iff bit `r` is set, and is renumbered to its rank
+    /// among the set bits (a per-word prefix rank plus
+    /// `popcount(word & below)`), so the result has one boolean row per
+    /// set bit. Rows whose bit is clear, or that lie past the bitmap, are
+    /// dropped — the bitmap may be narrower than the columns, as with the
+    /// union filter of a distributed batch. The kept rows of each column
+    /// must be strictly increasing; violations give the same errors as
+    /// [`Self::from_columns`] on the renumbered rows.
+    pub fn pack_over(bitmap: &[u64], columns: &[Vec<usize>]) -> SparseResult<Self> {
+        Self::pack_ranked(&RowRank::new(bitmap), columns)
+    }
+
+    /// [`Self::pack_over`] with a prebuilt rank index, so several column
+    /// sets (the two SUMMA operand blocks of a rank) share one pass over
+    /// the bitmap.
+    pub fn pack_ranked(rank: &RowRank<'_>, columns: &[Vec<usize>]) -> SparseResult<Self> {
+        Self::pack_mapped(rank.ones(), columns, |r| rank.rank(r))
+    }
+
+    /// The packing loop shared by every constructor: each column's rows go
+    /// through `map` (`None` drops the row), then are bounds- and
+    /// order-checked and OR-ed into words.
+    fn pack_mapped(
+        nrows: usize,
+        columns: &[Vec<usize>],
+        map: impl Fn(usize) -> Option<usize>,
+    ) -> SparseResult<Self> {
         let word_rows = nrows.div_ceil(WORD_BITS);
         let ncols = columns.len();
+        // A column stores at most one word per row it lists and at most
+        // one per word row.
+        let bound = columns.iter().map(|rows| rows.len().min(word_rows)).sum();
         let mut indptr = Vec::with_capacity(ncols + 1);
         indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut data = Vec::new();
+        let mut indices = Vec::with_capacity(bound);
+        let mut data = Vec::with_capacity(bound);
         for (j, rows) in columns.iter().enumerate() {
-            let mut current_word: Option<(usize, u64)> = None;
-            let mut last_row: Option<usize> = None;
-            for &r in rows {
+            // Rows must be at least `next`; `(word, mask)` is the word
+            // being filled (`mask == 0` before the first row).
+            let mut next = 0usize;
+            let (mut word, mut mask) = (0usize, 0u64);
+            for r in rows.iter().filter_map(|&r| map(r)) {
                 if r >= nrows {
                     return Err(SparseError::IndexOutOfBounds { row: r, col: j, nrows, ncols });
                 }
-                if let Some(prev) = last_row {
-                    if r <= prev {
-                        return Err(SparseError::ShapeMismatch {
-                            context: format!(
-                                "column {j} row indices must be strictly increasing ({prev} then {r})"
-                            ),
-                        });
-                    }
+                if r < next {
+                    return Err(not_increasing(j, next - 1, r));
                 }
-                last_row = Some(r);
-                let w = r / WORD_BITS;
-                let bit = 1u64 << (r % WORD_BITS);
-                match current_word {
-                    Some((cw, mask)) if cw == w => current_word = Some((cw, mask | bit)),
-                    Some((cw, mask)) => {
-                        indices.push(cw);
-                        data.push(mask);
-                        current_word = Some((w, bit));
-                    }
-                    None => current_word = Some((w, bit)),
+                next = r + 1;
+                if r / WORD_BITS != word && mask != 0 {
+                    indices.push(word);
+                    data.push(mask);
+                    mask = 0;
                 }
+                word = r / WORD_BITS;
+                mask |= 1u64 << (r % WORD_BITS);
             }
-            if let Some((cw, mask)) = current_word {
-                indices.push(cw);
+            if mask != 0 {
+                indices.push(word);
                 data.push(mask);
             }
             indptr.push(indices.len());
@@ -376,6 +507,36 @@ mod tests {
         assert!(BitMatrix::from_columns(10, &[vec![10]]).is_err());
         assert!(BitMatrix::from_columns(10, &[vec![3, 3]]).is_err());
         assert!(BitMatrix::from_columns(10, &[vec![5, 2]]).is_err());
+    }
+
+    #[test]
+    fn pack_over_renumbers_by_bitmap_rank() {
+        // Kept rows span several rank blocks (8 words each) and straddle
+        // word boundaries; row 700 is not in the bitmap and row 5000 lies
+        // past it, so both are dropped.
+        let kept: Vec<usize> = vec![1, 63, 64, 127, 520, 600, 1023];
+        let bitmap = pack_row_bitmap(1024, &kept);
+        let columns = vec![vec![1, 64, 600, 700, 5000], vec![], vec![63, 127, 520, 1023]];
+        let packed = BitMatrix::pack_over(&bitmap, &columns).unwrap();
+        let compacted = vec![vec![0, 2, 5], vec![], vec![1, 3, 4, 6]];
+        assert_eq!(packed, BitMatrix::from_columns(kept.len(), &compacted).unwrap());
+        // Unsorted kept rows fail exactly as from_columns does on the
+        // renumbered rows.
+        let err = BitMatrix::pack_over(&bitmap, &[vec![600, 700, 64]]).unwrap_err();
+        assert_eq!(err, BitMatrix::from_columns(kept.len(), &[vec![5, 2]]).unwrap_err());
+    }
+
+    #[test]
+    fn pack_filtered_returns_the_union_bitmap() {
+        let columns = vec![vec![3, 500, 900], vec![3, 901], vec![]];
+        let (packed, bitmap) = BitMatrix::pack_filtered(1000, &columns).unwrap();
+        assert_eq!(bitmap_rows(&bitmap), vec![3, 500, 900, 901]);
+        assert_eq!(packed.orig_rows(), 4);
+        assert_eq!(
+            packed,
+            BitMatrix::from_columns(4, &[vec![0, 1, 2], vec![0, 3], vec![]]).unwrap()
+        );
+        assert_eq!(pack_column_bitmap(1000, &columns), pack_row_bitmap(1000, &[3, 500, 900, 901]));
     }
 
     #[test]

@@ -132,20 +132,28 @@ impl<T: Copy> CscMatrix<T> {
         (0..self.ncols).flat_map(move |j| self.col(j).map(move |(r, v)| (r, j, v)))
     }
 
-    /// Convert to CSR.
+    /// Convert to CSR with a counting-sort transpose: count the entries of
+    /// every row, prefix-sum the counts into row pointers, then scatter the
+    /// columns in increasing order so every CSR row comes out sorted by
+    /// column. `O(nnz + nrows + ncols)`, no comparison sort.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut triples: Vec<(usize, usize, T)> = self.iter().collect();
-        triples.sort_unstable_by_key(|&(r, c, _)| (r, c));
         let mut indptr = vec![0usize; self.nrows + 1];
-        let mut indices = Vec::with_capacity(triples.len());
-        let mut data = Vec::with_capacity(triples.len());
-        for (r, c, v) in triples {
+        for &r in &self.indices {
             indptr[r + 1] += 1;
-            indices.push(c);
-            data.push(v);
         }
         for i in 0..self.nrows {
             indptr[i + 1] += indptr[i];
+        }
+        let mut next = indptr[..self.nrows].to_vec();
+        let mut indices = vec![0usize; self.nnz()];
+        let mut data = self.data.clone();
+        for j in 0..self.ncols {
+            for p in self.indptr[j]..self.indptr[j + 1] {
+                let slot = &mut next[self.indices[p]];
+                indices[*slot] = j;
+                data[*slot] = self.data[p];
+                *slot += 1;
+            }
         }
         CsrMatrix::from_raw_parts(self.nrows, self.ncols, indptr, indices, data)
             .expect("CSC conversion produces consistent CSR")
@@ -269,6 +277,33 @@ mod tests {
         let m = sample();
         let csr = m.to_csr();
         assert_eq!(csr.to_dense(), m.to_dense());
+    }
+
+    #[test]
+    fn counting_sort_to_csr_matches_the_coo_reference() {
+        // Scattered entries over a wide shape, with empty rows and
+        // columns, so every row segment must come out column-sorted.
+        let (nrows, ncols) = (37, 23);
+        let triples: Vec<(usize, usize, u64)> = (0..400u64)
+            .map(|k| ((k * 7919 % 31) as usize, (k * 104_729 % 19) as usize, k + 1))
+            .collect();
+        let coo = CooMatrix::from_triples(nrows, ncols, triples).unwrap();
+        let csc = coo.to_csc();
+        assert_eq!(csc.to_csr(), coo.to_csr());
+        // Raw CSC whose columns list rows out of order still transposes to
+        // the sorted CSR the COO conversion gives.
+        let raw = CscMatrix::from_raw_parts(
+            4,
+            3,
+            vec![0, 3, 3, 5],
+            vec![3, 0, 2, 1, 0],
+            vec![1u32, 2, 3, 4, 5],
+        )
+        .unwrap();
+        let reference =
+            CooMatrix::from_triples(4, 3, raw.iter().collect::<Vec<_>>()).unwrap().to_csr();
+        assert_eq!(raw.to_csr(), reference);
+        assert_eq!(CscMatrix::<u8>::empty(0, 0).to_csr().nnz(), 0);
     }
 
     #[test]

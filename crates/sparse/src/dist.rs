@@ -12,4 +12,4 @@ pub mod ata;
 pub mod filter;
 
 pub use ata::DistAta;
-pub use filter::{dist_row_filter, dist_row_filter_indexed, RowFilter};
+pub use filter::{allreduce_row_bitmap, dist_row_filter, dist_row_filter_indexed, RowFilter};

@@ -17,7 +17,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use crate::bitmat::{bitmap_rows, pack_row_bitmap};
+use crate::bitmat::{bitmap_rows, pack_row_bitmap, WORD_BITS};
 use crate::error::SparseResult;
 use gas_dstsim::comm::Communicator;
 
@@ -84,6 +84,42 @@ impl RowFilter {
         self.nonzero.hash(&mut h);
         h.finish()
     }
+
+    /// The [`Self::fingerprint`] of `RowFilter::from_bitmap(batch_rows,
+    /// words)`, streamed from the bitmap without listing its rows.
+    pub fn bitmap_fingerprint(batch_rows: usize, words: &[u64]) -> u64 {
+        // The words holding rows below `batch_rows`; in the one that
+        // straddles `batch_rows`, only the bits below it count.
+        let live = &words[..batch_rows.div_ceil(WORD_BITS).min(words.len())];
+        let straddling = batch_rows / WORD_BITS;
+        let tail = (1u64 << (batch_rows % WORD_BITS)) - 1;
+        let word = |wi: usize| if wi == straddling { live[wi] & tail } else { live[wi] };
+        let count: usize = (0..live.len())
+            .filter(|&wi| live[wi] != 0)
+            .map(|wi| word(wi).count_ones() as usize)
+            .sum();
+        let mut h = DefaultHasher::new();
+        batch_rows.hash(&mut h);
+        count.hash(&mut h);
+        // `[usize]` hashes its elements as one byte string; the hasher
+        // streams, so writing it in pieces gives the same state.
+        let mut buf = Vec::with_capacity(256 * std::mem::size_of::<usize>());
+        for wi in (0..live.len()).filter(|&wi| live[wi] != 0) {
+            let mut w = word(wi);
+            while w != 0 {
+                buf.extend_from_slice(
+                    &(wi * WORD_BITS + w.trailing_zeros() as usize).to_ne_bytes(),
+                );
+                w &= w - 1;
+                if buf.len() == buf.capacity() {
+                    h.write(&buf);
+                    buf.clear();
+                }
+            }
+        }
+        h.write(&buf);
+        h.finish()
+    }
 }
 
 /// Build the batch filter collectively with the paper's bitmap
@@ -97,11 +133,19 @@ pub fn dist_row_filter(
     batch_rows: usize,
     local_rows: &[usize],
 ) -> SparseResult<RowFilter> {
-    let mine = pack_row_bitmap(batch_rows, local_rows);
-    let combined = comm.allreduce(&mine, |a, b| *a | *b)?;
-    // Charge the prefix-sum renumbering of the survivors.
-    comm.add_flops(combined.len() as u64);
+    let combined = allreduce_row_bitmap(comm, &pack_row_bitmap(batch_rows, local_rows))?;
     Ok(RowFilter::from_bitmap(batch_rows, &combined))
+}
+
+/// The collective step of [`dist_row_filter`]: OR-allreduce this rank's
+/// packed row bitmap and charge the prefix-sum renumbering of the
+/// survivors. Drivers that pack straight over the union bitmap
+/// ([`crate::bitmat::BitMatrix::pack_over`]) call this directly and never
+/// list the surviving rows.
+pub fn allreduce_row_bitmap(comm: &Communicator, local: &[u64]) -> SparseResult<Vec<u64>> {
+    let combined = comm.allreduce(local, |a, b| *a | *b)?;
+    comm.add_flops(combined.len() as u64);
+    Ok(combined)
 }
 
 /// The index-based construction this module used before the bitmap
@@ -151,6 +195,30 @@ mod tests {
         // Bits beyond the batch extent are dropped.
         let narrow = RowFilter::from_bitmap(64, &bitmap);
         assert_eq!(narrow.nonzero_rows(), &[0, 5, 63]);
+    }
+
+    #[test]
+    fn bitmap_fingerprint_equals_the_filter_fingerprint() {
+        for (batch_rows, rows) in [
+            (0usize, vec![]),
+            (100, vec![]),
+            (100, vec![0usize, 5, 63, 64, 99]),
+            (64, vec![0, 5, 63, 64, 99]),
+            (200, (0..200).collect()),
+            (20_000, (0..20_000).step_by(3).collect::<Vec<_>>()),
+        ] {
+            // Pack over a wider extent, so bits past `batch_rows` exist,
+            // and over a narrower one, so the bitmap ends inside the batch.
+            for extent in [batch_rows.max(100), batch_rows / 2] {
+                let bitmap = pack_row_bitmap(extent, &rows);
+                assert_eq!(
+                    RowFilter::bitmap_fingerprint(batch_rows, &bitmap),
+                    RowFilter::from_bitmap(batch_rows, &bitmap).fingerprint(),
+                    "batch_rows = {batch_rows}, extent = {extent}, {} rows",
+                    rows.len()
+                );
+            }
+        }
     }
 
     #[test]
